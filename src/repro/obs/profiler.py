@@ -2,9 +2,9 @@
 
 ``repro bench`` tells you the kernel got slower; this profiler tells you
 *why*.  ``Environment(profile=True)`` (or the :func:`profile_scope`
-class-default context manager) attaches a :class:`KernelProfiler` and
-routes the run loop through a generic, per-callback-timed path that
-attributes ``time.perf_counter()`` deltas to *sites*:
+class-default context manager) attaches a :class:`KernelProfiler`; the
+run loop then times every callback generically and attributes
+``time.perf_counter()`` deltas to *sites*:
 
 * ``process:<generator name>`` — a suspended process resumed (the site
   is the generator function's code name, so cardinality stays bounded
@@ -14,9 +14,10 @@ attributes ``time.perf_counter()`` deltas to *sites*:
   and tombstone collection all count: lazy deletion is kernel work too).
 
 Wall-clock readings never feed back into simulation state — the
-profiler is observation-only, and the profiled loop preserves the exact
-event order of the fast loop (it mirrors ``Environment.step()``
-semantics).  Profiled runs are slower (one ``perf_counter`` pair per
+profiler is observation-only, and profiling is a branch of the one run
+loop, so the event order is exactly that of an unprofiled run.  It
+composes with a steering controller (``env.control``): a steered run is
+profiled too.  Profiled runs are slower (one ``perf_counter`` pair per
 callback); that is the price of attribution and the reason the flag is
 opt-in.
 """
@@ -75,7 +76,7 @@ class KernelProfiler:
         #: Wall seconds spent inside ``run()`` (loop overhead included).
         self.run_wall = 0.0
 
-    # -- recording (called from Environment._run_profiled) ---------------
+    # -- recording (called from Environment._drain) ----------------------
     def record(self, site: str, t0: float) -> None:
         elapsed = perf_counter() - t0
         stats = self.sites.get(site)

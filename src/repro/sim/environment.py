@@ -34,56 +34,29 @@ invariants they must maintain are:
    ``time == env._now``; anything with a positive delay is heap-pushed;
 3. only :class:`~repro.sim.timers.Timer` instances may appear in heap
    entries with ``event._is_timer`` true (lanes never hold timers), so
-   the lane pop path stays free of timer bookkeeping.
+   the compiled lane checks only heap pops for timer bookkeeping.
 
-Batched event draining (round two)
-----------------------------------
-The run loop no longer re-selects the globally smallest entry from
-scratch for every event.  It admits lane entries in **runs**: when a
-lane is the front, the loop snapshots the lane length and drains that
-many entries with one deque ``popleft`` each — no per-event tuple
-comparisons, no lane-head re-selection.  Three facts make a snapshot
-drain exact:
-
-* a lane is internally ``(time, priority, eid)``-sorted and every entry
-  in it carries ``time == now`` (the clock cannot advance past a queued
-  lane entry, because pops always take the global minimum);
-* anything *appended or heap-pushed during the run* carries a larger
-  ``eid`` than every snapshot entry, so it sorts after the whole
-  snapshot — with two exceptions handled explicitly below;
-* heap entries never beat the snapshot when ``heap[0] > lane[-1]`` held
-  at run start: pre-existing heap entries only leave the heap by being
-  popped, and new pushes sort after the snapshot (previous point).
-
-The two exceptions:
-
-* an **URGENT append during a NORMAL run** (``Initialize``,
-  ``interrupt``) preempts the rest of the run — URGENT at equal time
-  beats any eid.  The loop checks ``if urgent`` once per drained NORMAL
-  entry (a truthiness test, not a comparison) and abandons the run.
-* a **same-time timed entry** (``heap[0] < lane[-1]`` at run start, e.g.
-  a zero-delay ``Timer.arm`` shot from an earlier turn) interleaves by
-  eid; the loop falls back to classic one-entry selection until the
-  interleave clears.  URGENT runs need no per-entry check beyond this:
-  zero-delay pushes land in lanes, so a mid-run heap push is either
-  later in time or NORMAL priority — both sort after an URGENT
-  snapshot.
-
-When both lanes are empty the heap front pops directly: same-timestamp
-heap groups drain at one ``heappop`` per event with only two lane
-truthiness checks in between — no head tuple is materialised and no
-cross-lane comparison runs until a lane entry actually appears.  Pure
-timed traffic (the ``event_throughput`` bench) is interpreter-bound on
-this path; the compiled lane (``REPRO_SIM_COMPILED=1``, see
-``sim/_speedups.c`` and ARCHITECTURE.md) moves the whole drain loop out
-of the bytecode interpreter while reproducing this order bit-for-bit.
+The run loop
+------------
+:meth:`Environment.run` drives one interpreted loop,
+:meth:`Environment._drain`: pop the globally next entry with
+:meth:`Environment._pop` (at most two tuple comparisons of queue
+heads), advance the clock, run the callbacks.  Waiting processes
+are resumed inline (the success fast path of ``Process._resume``).  The
+loop has two observation points, read straight from the hook
+attributes: ``env.control`` gets ``drain()`` before every pop, and
+``env.profiler`` gets every callback and timer shot timed with
+``perf_counter``.  With neither hook set and the compiled lane active
+(``REPRO_SIM_COMPILED=1``, see ``sim/_speedups.c`` and
+ARCHITECTURE.md), ``run()`` hands the queue to the C transcription of
+the same loop instead.
 
 Cancellable timers (lazy tombstones)
 ------------------------------------
 :class:`~repro.sim.timers.Timer` supports ``cancel()`` and re-arming
 without O(n) heap surgery: stale heap entries are left in place and
 discarded when popped ("tombstones").  The pop path recognises them via
-``event._is_timer`` and :func:`_pop_timer_shot`; a tombstone pop does
+``event._is_timer`` and ``Timer._pop_shot``; a tombstone pop does
 *not* advance the clock, so cancelled timers are invisible to the
 simulation outcome.  See ``sim/timers.py`` for the shot/deadline
 protocol.
@@ -142,8 +115,8 @@ class Environment:
     #: When set (a callable ``env -> controller``), every new environment
     #: gets ``factory(env)`` assigned to its ``control`` hook.  Managed by
     #: :func:`repro.obs.control.control_scope`; the kernel only calls the
-    #: controller's ``drain()`` between events (see ``_run_controlled``)
-    #: and never imports obs.
+    #: controller's ``drain()`` between events (see ``_drain``) and
+    #: never imports obs.
     control_factory: Optional[Callable[["Environment"], Any]] = None
 
     def __init__(self, initial_time: float = 0.0, *,
@@ -172,10 +145,10 @@ class Environment:
             factory(self) if factory is not None else None
         #: Steering/control hook (see :mod:`repro.obs.control`).  Same
         #: zero-cost contract as ``tracer``/``telemetry``: ``None`` unless
-        #: a controller is installed; when set, ``run()`` takes the
-        #: controlled loop, which calls ``control.drain()`` between events
-        #: so thread-queued commands and scripted chaos verbs execute at a
-        #: deterministic point of the event order.
+        #: a controller is installed; when set, the run loop calls
+        #: ``control.drain()`` between events so thread-queued commands
+        #: and scripted chaos verbs execute at a deterministic point of
+        #: the event order.
         control_factory = Environment.control_factory
         self.control: Optional[Any] = \
             control_factory(self) if control_factory is not None else None
@@ -194,7 +167,8 @@ class Environment:
         #: Kernel wall-clock profiler (see :mod:`repro.obs.profiler`).
         #: ``None`` unless ``profile=True`` (or the class default is
         #: flipped by :class:`~repro.obs.profiler.profile_scope`); when
-        #: set, ``run()`` takes the per-callback-timed generic loop.
+        #: set, the run loop times and attributes every callback (also
+        #: under a controller).
         if profile is None:
             profile = Environment.default_profile
         if profile:
@@ -331,18 +305,26 @@ class Environment:
         entries whose event has ``_is_timer`` through
         :meth:`~repro.sim.timers.Timer._pop_shot`.
         """
-        urgent, fifo, heap = self._urgent, self._fifo, self._heap
-        if urgent or fifo:
-            entry = urgent[0] if urgent else None
-            src = 0
-            if fifo and (entry is None or fifo[0] < entry):
+        # PERF: the run loop calls this once per event.  Branching on the
+        # lanes first keeps the two common shapes (heap only; one lane
+        # plus the heap) to a few truth tests and one tuple comparison.
+        heap = self._heap
+        urgent = self._urgent
+        if urgent:
+            entry = urgent[0]
+            lane = urgent
+            fifo = self._fifo
+            if fifo and fifo[0] < entry:
                 entry = fifo[0]
-                src = 1
+                lane = fifo
             if heap and heap[0] < entry:
                 return heappop(heap)
-            if src:
-                return fifo.popleft()
-            return urgent.popleft()
+            return lane.popleft()
+        fifo = self._fifo
+        if fifo:
+            if heap and heap[0] < fifo[0]:
+                return heappop(heap)
+            return fifo.popleft()
         if heap:
             return heappop(heap)
         return None
@@ -356,7 +338,8 @@ class Environment:
         the next front; they are not admitted early).  For timed traffic
         the front is almost always a single event, so ``step()`` keeps
         its historical one-event feel; for zero-delay bursts it drains
-        the burst in one call, mirroring the batched run loop.
+        the burst in one call.  Either way the events run in the order
+        :meth:`run` would process them.
 
         Lazy timer tombstones are collected silently (they consume queue
         entries but neither advance the clock nor count as processed
@@ -404,7 +387,7 @@ class Environment:
 
     def _process_one(self, entry: Entry, event: Event) -> None:
         """Process one popped (non-timer) entry — the generic slow path
-        shared by :meth:`step`; :meth:`run` inlines the same logic."""
+        shared by :meth:`step`; :meth:`_drain` inlines the same logic."""
         self._now = entry[0]
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
@@ -444,181 +427,25 @@ class Environment:
                 return until.value
             until.callbacks.append(_stop_simulate)
 
-        if self.control is not None:
-            # Steering detour: same event order as the generic loop, with
-            # the controller's command queue drained between events (see
-            # repro.obs.control).  Takes precedence over the profiler —
-            # steered runs are interactive, not measurement runs.
-            return self._run_controlled(until)
-
-        if self.profiler is not None:
-            # Observation-only detour: same event order, every callback
-            # timed and attributed (see repro.obs.profiler).
-            return self._run_profiled(until)
-
-        if _SPEEDUPS is not None:
-            # Compiled lane: the C transcription of the loop below (same
-            # pop order, same trigger-chaining/failure handling — see
-            # sim/_speedups.c).  Profiled runs stay interpreted above:
-            # the profiler is an observation detour, not a hot path.
-            try:
-                _SPEEDUPS.drain(self)
-            except StopSimulation as stop:
-                if self.sanitizer is not None:
-                    self.sanitizer.on_run_exit()
-                return stop.value
-            if isinstance(until, Event) and not until.triggered:
-                raise SimulationError(
-                    "No scheduled events left but 'until' event was not "
-                    "triggered"
-                )
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_exit()
-            return None
-
-        # PERF: this is the single hottest loop of the whole project — it is
-        # the batched drain (see the module docstring) with the queue
-        # structures bound to locals, saving a method call, several
-        # attribute loads, and the per-event try/except of the
-        # step-until-EmptySchedule protocol.  Lane entries are admitted in
-        # snapshot *runs* (`run_n` entries left, popped via the bound
-        # `run_pop`), so the common zero-delay event costs one popleft and
-        # two truthiness checks instead of lane-head re-selection with
-        # tuple comparisons.  The loop additionally inlines the success
-        # fast path of Process._resume: a Process registers *itself* as
-        # the callback, so `cb.__class__ is Process` identifies a waiting
-        # process and the loop advances its generator without the _resume
-        # frame.  Any semantic change here must be mirrored in step(), in
-        # Process._resume (the generic fallback both still use), and in
-        # sim/_speedups.c (the compiled lane's C transcription of this
-        # exact loop).
-        urgent, fifo, heap = self._urgent, self._fifo, self._heap
-        hpop = heappop
-        upop = urgent.popleft
-        fpop = fifo.popleft
-        proc_cls = Process
-        run_n = 0          # snapshot entries left in the current lane run
-        run_pop = upop     # bound popleft of the lane being drained
-        run_fifo = False   # NORMAL-lane runs yield to URGENT arrivals
+        control = self.control
+        if control is not None:
+            control.begin_run()
         try:
-            while True:
-                # -- select + pop the (time, priority, eid)-smallest entry.
-                # Lane pops skip the timer check entirely (lanes never hold
-                # timers — invariant 3 of the module docstring).
-                if run_n:
-                    run_n -= 1
-                    entry = run_pop()
-                    event = entry[3]
-                elif urgent:
-                    if heap and heap[0] < urgent[-1]:
-                        # Rare: a same-time timed entry interleaves with
-                        # the lane by eid — classic one-entry selection.
-                        if heap[0] < urgent[0]:
-                            entry = hpop(heap)
-                            event = entry[3]
-                            if event._is_timer:
-                                event._pop_shot(entry)
-                                continue
-                        else:
-                            entry = upop()
-                            event = entry[3]
-                    else:
-                        run_n = len(urgent) - 1
-                        if run_n:
-                            run_pop = upop
-                            run_fifo = False
-                        entry = upop()
-                        event = entry[3]
-                elif fifo:
-                    if heap and heap[0] < fifo[-1]:
-                        if heap[0] < fifo[0]:
-                            entry = hpop(heap)
-                            event = entry[3]
-                            if event._is_timer:
-                                event._pop_shot(entry)
-                                continue
-                        else:
-                            entry = fpop()
-                            event = entry[3]
-                    else:
-                        run_n = len(fifo) - 1
-                        if run_n:
-                            run_pop = fpop
-                            run_fifo = True
-                        entry = fpop()
-                        event = entry[3]
-                elif heap:
-                    entry = hpop(heap)
-                    event = entry[3]
-                    if event._is_timer:
-                        event._pop_shot(entry)
-                        continue
-                else:
-                    break  # queue drained
-
-                self._now = entry[0]
-                callbacks = event.callbacks
-                if callbacks is None:
-                    # Already processed (trigger-chaining); clock advanced,
-                    # nothing else to do — mirrors step().
-                    continue
-                event.callbacks = None
-                for cb in callbacks:
-                    if cb.__class__ is proc_cls and event._ok:
-                        # -- inlined Process._resume success fast path.
-                        self._active_proc = cb
-                        try:
-                            next_event = cb._send(event._value)
-                        except StopIteration as stop:
-                            # Process finished normally.
-                            cb._target = None
-                            cb._ok = True
-                            cb._value = stop.value
-                            self._eid = eid = self._eid + 1
-                            fifo.append((self._now, NORMAL, eid, cb))
-                        except BaseException as exc:
-                            # Process died -> fail the process event.
-                            cb._target = None
-                            cb._ok = False
-                            cb._value = exc
-                            self._eid = eid = self._eid + 1
-                            fifo.append((self._now, NORMAL, eid, cb))
-                        else:
-                            try:
-                                ncb = next_event.callbacks
-                            except AttributeError:
-                                cb._fail_nonevent(next_event)
-                            else:
-                                if ncb is not None:
-                                    # Register + suspend.
-                                    ncb.append(cb)
-                                    cb._target = next_event
-                                else:
-                                    # Yielded event already processed:
-                                    # continue with its stored outcome
-                                    # through the generic path.
-                                    cb._resume(next_event)
-                        self._active_proc = None
-                    else:
-                        cb(event)
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
-
-                # -- run preemption: an URGENT arrival (Initialize,
-                # interrupt) during a NORMAL run outranks every remaining
-                # snapshot entry at equal time; abandon the run and
-                # re-select.  URGENT runs cannot be preempted (module
-                # docstring, "Batched event draining").
-                if run_n and run_fifo and urgent:
-                    run_n = 0
+            if (_SPEEDUPS is not None and control is None
+                    and self.profiler is None):
+                # Compiled lane: the C transcription of _drain (same pop
+                # order, same trigger-chaining/failure handling — see
+                # sim/_speedups.c).  Hooked runs stay interpreted.
+                _SPEEDUPS.drain(self)
+            else:
+                self._drain()
         except StopSimulation as stop:
             if self.sanitizer is not None:
                 self.sanitizer.on_run_exit()
             return stop.value
+        finally:
+            if control is not None:
+                control.end_run()
 
         # Queue drained without the until event firing.
         if isinstance(until, Event) and not until.triggered:
@@ -629,136 +456,125 @@ class Environment:
             self.sanitizer.on_run_exit()
         return None
 
-    def _run_controlled(self, until: Any) -> Any:
-        """Generic run loop with a control-hook drain point.
+    def _drain(self) -> None:
+        """Process entries until the queue empties (the interpreted loop).
 
-        Mirrors :meth:`run` semantics exactly — same pop order, same
-        trigger-chaining/failure handling — calling ``control.drain()``
-        once *between* event pops.  The drain point is the only place
-        steering commands and scripted chaos verbs execute, so they land
-        at a deterministic position of the event order (never mid-
-        callback), and telemetry snapshots taken there are consistent.
-        An idle controller (no commands, no schedule) consumes no event
-        ids and touches no state, so an attached-but-idle server leaves
-        the run byte-identical.
+        Hook points, both read from the environment's attributes:
+
+        * ``control`` — ``control.drain()`` runs before every pop, so
+          steering commands and scripted chaos verbs execute at a
+          deterministic position of the event order (never mid-callback)
+          and still fire once the queue has emptied (they may schedule
+          new events and thereby extend the run).  An idle controller
+          consumes no event ids and touches no state, so the run stays
+          byte-identical.  ``run()`` brackets the loop with the
+          controller's ``begin_run()``/``end_run()``.
+        * ``profiler`` — every callback and timer shot is timed with a
+          ``perf_counter`` pair and attributed to its site; callbacks are
+          then called generically so a process resume is attributed to
+          its generator.  Wall-clock readings never touch simulation
+          state.
         """
+        # PERF: this is the single hottest loop of the whole project.  The
+        # bound locals save attribute loads per event, and the loop
+        # inlines the success fast path of Process._resume: a Process
+        # registers *itself* as the callback, so `cb.__class__ is Process`
+        # identifies a waiting process and the loop advances its
+        # generator without the _resume frame.  Any semantic change here
+        # must be mirrored in Process._resume (the generic path step(),
+        # timers and the profiled branch use) and in sim/_speedups.c (the
+        # compiled lane's C transcription of this loop).
+        pop = self._pop
+        fifo = self._fifo
+        proc_cls = Process
         control = self.control
-        assert control is not None
-        drain = control.drain
-        # Optional run boundaries: a threaded controller uses these to
-        # know when commands must queue (loop live) vs. may execute
-        # inline (loop stopped).  Duck-typed so any drain()-only
-        # controller still works.
-        begin_run = getattr(control, "begin_run", None)
-        end_run = getattr(control, "end_run", None)
-        if begin_run is not None:
-            begin_run()
-        try:
-            while True:
-                # The drain runs before the pop so that, once the queue
-                # empties, remaining scheduled verbs still fire (they may
-                # schedule new events and thereby extend the run).
-                drain()
-                entry = self._pop()
-                if entry is None:
-                    break  # queue drained (post-drain: nothing revived it)
-                event = entry[3]
-                if event._is_timer:
-                    event._pop_shot(entry)
-                    continue
-
-                self._now = entry[0]
-                callbacks = event.callbacks
-                if callbacks is None:
-                    # Already processed (trigger-chaining) — mirrors step().
-                    continue
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
-        except StopSimulation as stop:
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_exit()
-            return stop.value
-        finally:
-            if end_run is not None:
-                end_run()
-
-        if isinstance(until, Event) and not until.triggered:
-            raise SimulationError(
-                "No scheduled events left but 'until' event was not triggered"
-            )
-        if self.sanitizer is not None:
-            self.sanitizer.on_run_exit()
-        return None
-
-    def _run_profiled(self, until: Any) -> Any:
-        """Generic, per-callback-timed run loop (``profile=True``).
-
-        Mirrors :meth:`run` semantics exactly — same pop order, same
-        trigger-chaining/failure handling — but routes every callback
-        through a ``perf_counter`` pair so the profiler can attribute
-        real time to process/callback/timer sites.  Wall-clock readings
-        never touch simulation state.
-        """
+        drain = control.drain if control is not None else None
         prof = self.profiler
-        assert prof is not None
-        clock = prof.clock
-        site_of = prof.site_of
-        timer_site = prof.timer_site
-        record = prof.record
-        wall_start = clock()
+        if prof is not None:
+            clock, record = prof.clock, prof.record
+            site_of, timer_site = prof.site_of, prof.timer_site
+            wall_start = clock()
         try:
             while True:
-                entry = self._pop()
+                if drain is not None:
+                    drain()
+                entry = pop()
                 if entry is None:
-                    break  # queue drained
+                    return  # queue drained (post-drain: nothing revived it)
                 event = entry[3]
                 if event._is_timer:
-                    # Fires, deferrals, and tombstone collection are all
-                    # kernel work — time the whole shot.
-                    t0 = clock()
-                    event._pop_shot(entry)
-                    record(timer_site(event), t0)
+                    if prof is None:
+                        event._pop_shot(entry)
+                    else:
+                        # Fires, deferrals, and tombstone collection are
+                        # all kernel work — time the whole shot.
+                        t0 = clock()
+                        event._pop_shot(entry)
+                        record(timer_site(event), t0)
                     continue
 
                 self._now = entry[0]
                 callbacks = event.callbacks
                 if callbacks is None:
-                    # Already processed (trigger-chaining) — mirrors step().
+                    # Already processed (trigger-chaining); clock advanced,
+                    # nothing else to do — mirrors step().
                     continue
                 event.callbacks = None
-                for cb in callbacks:
-                    t0 = clock()
-                    try:
-                        cb(event)
-                    finally:
-                        record(site_of(cb), t0)
+                if prof is not None:
+                    for cb in callbacks:
+                        t0 = clock()
+                        try:
+                            cb(event)
+                        finally:
+                            record(site_of(cb), t0)
+                else:
+                    for cb in callbacks:
+                        if cb.__class__ is proc_cls and event._ok:
+                            # -- inlined Process._resume success fast path.
+                            self._active_proc = cb
+                            try:
+                                next_event = cb._send(event._value)
+                            except StopIteration as stop:
+                                # Process finished normally.
+                                cb._target = None
+                                cb._ok = True
+                                cb._value = stop.value
+                                self._eid = eid = self._eid + 1
+                                fifo.append((self._now, NORMAL, eid, cb))
+                            except BaseException as exc:
+                                # Process died -> fail the process event.
+                                cb._target = None
+                                cb._ok = False
+                                cb._value = exc
+                                self._eid = eid = self._eid + 1
+                                fifo.append((self._now, NORMAL, eid, cb))
+                            else:
+                                try:
+                                    ncb = next_event.callbacks
+                                except AttributeError:
+                                    cb._fail_nonevent(next_event)
+                                else:
+                                    if ncb is not None:
+                                        # Register + suspend.
+                                        ncb.append(cb)
+                                        cb._target = next_event
+                                    else:
+                                        # Yielded event already processed:
+                                        # continue with its stored outcome
+                                        # through the generic path.
+                                        cb._resume(next_event)
+                            self._active_proc = None
+                        else:
+                            cb(event)
 
                 if not event._ok and not event._defused:
                     exc = event._value
                     if isinstance(exc, BaseException):
                         raise exc
                     raise SimulationError(repr(exc))  # pragma: no cover
-        except StopSimulation as stop:
-            prof.run_wall += clock() - wall_start
-            if self.sanitizer is not None:
-                self.sanitizer.on_run_exit()
-            return stop.value
-
-        prof.run_wall += clock() - wall_start
-        if isinstance(until, Event) and not until.triggered:
-            raise SimulationError(
-                "No scheduled events left but 'until' event was not triggered"
-            )
-        if self.sanitizer is not None:
-            self.sanitizer.on_run_exit()
-        return None
+        finally:
+            if prof is not None:
+                prof.run_wall += clock() - wall_start
 
 
 def _stop_simulate(event: Event) -> None:

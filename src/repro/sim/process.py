@@ -7,7 +7,7 @@ when the event failed).  Processes are themselves events that fire when the
 generator returns, so processes can wait for each other.
 
 PERF note: ``_resume`` is one of the two hottest frames of the kernel
-(with ``Environment.run``); it caches the generator's bound ``send``/
+(with ``Environment._drain``); it caches the generator's bound ``send``/
 ``throw`` methods at construction and appends its completion entry to the
 environment's zero-delay FIFO lane directly, following the scheduling
 invariants documented in ``sim/environment.py``.
@@ -169,7 +169,7 @@ class Process(Event):
         env._fifo.append((env._now, NORMAL, eid, self))
 
     #: Processes register themselves (not a bound method) as event
-    #: callbacks: ``Environment.run`` recognises the Process instance and
+    #: callbacks: ``Environment._drain`` recognises the Process instance and
     #: inlines the resume fast path without a frame, while every generic
     #: dispatch site (``Environment.step``, ``Timer._pop_shot``, user
     #: code calling ``callback(event)``) still works because calling the

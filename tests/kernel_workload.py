@@ -166,11 +166,12 @@ def run_mixed_workload() -> List[Tuple[float, str]]:
 def run_burst_workload(sanitize: bool = False) -> List[Tuple[float, str]]:
     """Same-timestamp burst: hundreds of events landing on one tick.
 
-    This is the worst case for the batched-front drain *and* for the
-    compiled lane's C heap: every discriminating feature of the total
-    order except time itself — FIFO eid ties, URGENT vs NORMAL at one
-    instant, timers firing into the tie, zero-delay chains spawned from
-    inside the burst — has to resolve identically on every lane.
+    This is the worst case for per-event selection, in the interpreted
+    run loop and in the compiled lane's C heap: every discriminating
+    feature of the total order except time itself — FIFO eid ties,
+    URGENT vs NORMAL at one instant, timers firing into the tie,
+    zero-delay chains spawned from inside the burst — has to resolve
+    identically on every lane.
     """
     env = Environment(sanitize=sanitize)
     log: List[Tuple[float, str]] = []

@@ -45,8 +45,8 @@ def test_mixed_workload_is_self_deterministic():
 
 # -- same-timestamp burst: one tick, every tie-breaking rule at once ------
 
-def _run_in_lane(workload: str, compiled: bool,
-                 sanitize: bool = False) -> list:
+def _run_in_lane(workload: str, compiled: bool, sanitize: bool = False,
+                 module: str = "tests.kernel_workload") -> list:
     """Replay a workload in a fresh interpreter on the chosen lane.
 
     Lane selection is an import-time switch, so cross-lane comparison
@@ -58,7 +58,7 @@ def _run_in_lane(workload: str, compiled: bool,
     call = f"{workload}(sanitize=True)" if sanitize else f"{workload}()"
     code = (
         f"import json, sys\n"
-        f"from tests.kernel_workload import {workload}\n"
+        f"from {module} import {workload}\n"
         f"from repro.sim._compiled import compiled_lane_active\n"
         f"log = {call}\n"
         f"json.dump({{'compiled': compiled_lane_active(), "
@@ -89,7 +89,7 @@ needs_compiled = pytest.mark.skipif(
 
 
 def test_burst_replays_pinned_fixture():
-    """The batched in-process lane replays the pinned burst order."""
+    """The in-process run loop replays the pinned burst order."""
     with open(BURST_FIXTURE) as fh:
         expected = [tuple(rec) for rec in json.load(fh)]
     got = run_burst_workload()
@@ -103,19 +103,19 @@ def test_burst_is_sanitizer_clean():
 
 @needs_compiled
 def test_burst_identical_across_lanes():
-    """interpreted == compiled == batched, record for record.
+    """in-process == interpreted == compiled, record for record.
 
-    Three replays of the same-timestamp burst: the in-process batched
-    run (this process), a fresh interpreted subprocess, and a fresh
+    Three replays of the same-timestamp burst: the in-process run
+    (this process), a fresh interpreted subprocess, and a fresh
     REPRO_SIM_COMPILED=1 subprocess.  Any divergence in the
     (time, priority, eid) total order between the Python drain and the
     C drain shows up here as a log diff.
     """
-    batched = run_burst_workload()
+    in_process = run_burst_workload()
     interpreted = _run_in_lane("run_burst_workload", compiled=False)
     compiled = _run_in_lane("run_burst_workload", compiled=True)
-    assert interpreted == batched
-    assert compiled == batched
+    assert interpreted == in_process
+    assert compiled == in_process
 
 
 @needs_compiled

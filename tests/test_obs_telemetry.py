@@ -11,6 +11,7 @@ from repro.obs import (
     KernelProfiler,
     Telemetry,
     TimeSeries,
+    SimController,
     Tracer,
     chrome_trace,
     export_chrome_trace,
@@ -240,6 +241,19 @@ class TestKernelProfiler:
         profiled = Environment(profile=True)
         assert profiled.run(until=self._workload(profiled)) == 7
         assert profiled.now == plain.now
+
+    def test_steered_run_is_profiled(self):
+        """A controller and a profiler on one run: both hooks are served."""
+        plain = Environment()
+        expected = plain.run(until=self._workload(plain))
+        env = Environment(profile=True)
+        controller = SimController(env).install()
+        assert env.run(until=self._workload(env)) == expected
+        assert env.now == plain.now
+        assert env.profiler.callbacks > 0
+        assert env.profiler.run_wall > 0.0
+        assert "timer:prof/test" in env.profiler.sites
+        assert controller.fired == []
 
     def test_profiler_off_by_default(self):
         assert Environment().profiler is None
