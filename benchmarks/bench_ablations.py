@@ -13,11 +13,6 @@ from repro.experiments import (
     HalfLifeSweepConfig,
     PerformanceLossSweepConfig,
     RetrySweepConfig,
-    run_buffer_sweep,
-    run_degree_sweep,
-    run_half_life_sweep,
-    run_performance_loss_sweep,
-    run_retry_sweep,
 )
 
 from conftest import regenerate
@@ -25,31 +20,26 @@ from conftest import regenerate
 
 def test_bench_ablation_buffer(benchmark):
     config = BufferSweepConfig(sequences=200)
-    regenerate(benchmark, lambda: run_buffer_sweep(config), "ablation-buffer")
+    regenerate(benchmark, "ablation-buffer", config)
 
 
 def test_bench_ablation_retry(benchmark):
-    regenerate(benchmark, lambda: run_retry_sweep(RetrySweepConfig()),
-               "ablation-retry")
+    regenerate(benchmark, "ablation-retry", RetrySweepConfig())
 
 
 def test_bench_ablation_performance_loss(benchmark):
     config = PerformanceLossSweepConfig(iterations=300)
-    regenerate(benchmark, lambda: run_performance_loss_sweep(config),
-               "ablation-pl")
+    regenerate(benchmark, "ablation-pl", config)
 
 
 def test_bench_ablation_degree(benchmark):
     config = DegreeSweepConfig(iterations=120)
-    regenerate(benchmark, lambda: run_degree_sweep(config), "ablation-degree")
+    regenerate(benchmark, "ablation-degree", config)
 
 
 def test_bench_ablation_half_life(benchmark):
-    regenerate(benchmark, lambda: run_half_life_sweep(HalfLifeSweepConfig()),
-               "ablation-halflife")
+    regenerate(benchmark, "ablation-halflife", HalfLifeSweepConfig())
 
 
 def test_bench_fairshare_saturation(benchmark):
-    from repro.experiments import run_fairshare_saturation
-
-    regenerate(benchmark, run_fairshare_saturation, "fairshare-saturation")
+    regenerate(benchmark, "fairshare-saturation")

@@ -18,7 +18,7 @@ deterministic discrete-event substrate:
 * :mod:`repro.interposition` — the same Grid Console protocol on *real*
   subprocesses and TCP sockets;
 * :mod:`repro.experiments` — regenerates Table I, Figures 6-8, and the
-  ablations (``python -m repro.experiments all``).
+  ablations (``repro run all``).
 
 Quickstart
 ----------

@@ -23,7 +23,7 @@ runs the flow rules over the graph:
 ``flow-cache-key``        every config field reachable from ``run_cell``
                           is represented in the cell cache key
 ``flow-worker-purity``    no module-global writes reachable from
-                          process-pool / conveyor worker entry points
+                          process-pool worker entry points
 ``flow-protocol-drift``   implementer signatures match the Protocol
 ========================  ==============================================
 

@@ -23,7 +23,7 @@ The summary records exactly what the flow rules consume:
   sites with their keyword expressions (the cache-key and drift rules'
   anchor);
 * **worker entries** — the first argument of ``<pool>.submit(f, ...)``
-  and ``run_conveyor(f, ...)`` calls;
+  calls;
 * **suppressions** — the file's parsed ``# simlint: disable`` table, so
   flow findings honour the same pragma contract as per-file rules even
   when the summary came from the cache.
@@ -237,7 +237,7 @@ class ModuleSummary:
     #: top-level assignments, name -> "mutable" | "other".
     module_globals: Dict[str, str] = field(default_factory=dict)
     spec_regs: List[SpecReg] = field(default_factory=list)
-    #: raw first-arg names of pool ``.submit``/``run_conveyor`` calls.
+    #: raw first-arg names of pool ``.submit`` calls.
     worker_entries: List[Tuple[str, int]] = field(default_factory=list)
     suppressions: _Suppressions = field(default_factory=_Suppressions)
     syntax_error: Optional[Tuple[int, int, str]] = None
@@ -615,9 +615,9 @@ class _Summarizer(ast.NodeVisitor):
                     fn.writes.append(WriteSite(
                         base=base, attr="", line=node.lineno,
                         kind="mutate"))
-        # Worker-entry detection: pool.submit(f, ...) / run_conveyor(f, ..)
+        # Worker-entry detection: pool.submit(f, ...)
         leaf = callee.split(".")[-1] if callee else ""
-        if leaf in ("submit", "run_conveyor") and node.args and \
+        if leaf == "submit" and node.args and \
                 isinstance(node.args[0], ast.Name):
             self.s.worker_entries.append(
                 (node.args[0].id, node.lineno))

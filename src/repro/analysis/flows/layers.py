@@ -147,7 +147,7 @@ REPRO_LAYERS = LayerMap(
         # 4 — broker core and workload synthesis.
         "core": 4,
         "workloads": 4,
-        # 5 — the runner (cache/engine/conveyor) and scenario facade.
+        # 5 — the runner (cache/engine) and scenario facade.
         "runner": 5,
         "scenario": 5,
         # 6 — the top: experiments and the CLI.

@@ -31,7 +31,7 @@ Tests can audit whole scenario builds without threading a flag through
 every constructor::
 
     with sanitize_all() as audit:
-        run_fig8(config)
+        run_experiment("fig8", config)
     audit.assert_clean()
 """
 

@@ -163,55 +163,6 @@ def time_workload(fn: Callable[[], None], rounds: int,
     }
 
 
-def _conveyor_bench(jobs: int, rounds: int) -> Dict[str, float]:
-    """Sited-conveyor row: serial vs. fanned-out wall clock, same fold.
-
-    Runs the scale-campaign sited cell through :func:`run_conveyor`
-    twice per round — ``workers=1`` and ``workers=sites`` — asserting
-    the folded per-site stats match exactly (the conveyor's determinism
-    contract) and reporting both timings.  The parallel number includes
-    all pickling/IPC overhead, so the speedup is the honest one.
-    """
-    import os
-
-    from ..runner.conveyor import run_conveyor
-    from .scale_campaign import ScaleCampaignConfig, _sited_window
-
-    config = ScaleCampaignConfig(jobs=jobs)
-    # At least 2 workers even on a 1-core box: the point of the row is
-    # to exercise (and time) the real executor + pickling path; a
-    # single-worker "parallel" pass would silently skip the pool.
-    fanout = min(config.sites, max(os.cpu_count() or 1, 2))
-
-    def one_pass(workers: int) -> List[Dict]:
-        states = run_conveyor(_sited_window, config, config.sites,
-                              workers=workers)
-        return [state["stats"] for state in states]
-
-    serial_samples: List[float] = []
-    parallel_samples: List[float] = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        serial_stats = one_pass(1)
-        serial_samples.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        parallel_stats = one_pass(fanout)
-        parallel_samples.append(time.perf_counter() - start)
-        assert parallel_stats == serial_stats, \
-            "conveyor determinism violated: parallel != serial fold"
-        assert sum(s["completed"] for s in serial_stats) == jobs
-    return {
-        "jobs": jobs,
-        "sites": config.sites,
-        "window_s": config.window,
-        "workers": fanout,
-        "rounds": rounds,
-        "serial_min_s": min(serial_samples),
-        "parallel_min_s": min(parallel_samples),
-        "speedup": min(serial_samples) / min(parallel_samples),
-    }
-
-
 def _scale_bench(jobs: int, rounds: int, json_path: str) -> int:
     """The ``--scale`` lane: throughput + peak memory of a streamed fold."""
     import resource
@@ -259,17 +210,11 @@ def _scale_bench(jobs: int, rounds: int, json_path: str) -> int:
           f"({results['jobs_per_sec']:,.0f} jobs/s), "
           f"streamed-pass peak {traced_peak / 1e6:.1f} MB traced, "
           f"process ru_maxrss {maxrss_kb / 1024:.0f} MB")
-    conveyor = _conveyor_bench(jobs, rounds)
-    print(f"conveyor: {jobs:,} jobs over {conveyor['sites']} sites, "
-          f"serial {conveyor['serial_min_s']:.3f}s vs "
-          f"{conveyor['workers']} workers {conveyor['parallel_min_s']:.3f}s "
-          f"({conveyor['speedup']:.2f}x), identical fold")
     payload = {
-        "schema": "repro-bench-scale/2",
+        "schema": "repro-bench-scale/3",
         "python": platform.python_version(),
         "platform": platform.platform(),
         "results": results,
-        "conveyor": conveyor,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -288,14 +288,6 @@ def merge_cells(config: BrokerModesConfig,
     return result
 
 
-def run_broker_modes(
-        config: Optional[BrokerModesConfig] = None) -> ExperimentResult:
-    """Serial reference path (see :mod:`repro.runner`)."""
-    config = config or BrokerModesConfig()
-    payloads = {key: run_cell(config, key) for key in plan_cells(config)}
-    return merge_cells(config, payloads)
-
-
 register(ExperimentSpec(
     experiment_id="broker-modes",
     config_factory=BrokerModesConfig,

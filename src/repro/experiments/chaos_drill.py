@@ -276,14 +276,6 @@ def merge_cells(config: ChaosDrillConfig,
     return result
 
 
-def run_chaos_drill(
-        config: Optional[ChaosDrillConfig] = None) -> ExperimentResult:
-    """Serial reference path (see :mod:`repro.runner`)."""
-    config = config or ChaosDrillConfig()
-    payloads = {key: run_cell(config, key) for key in plan_cells(config)}
-    return merge_cells(config, payloads)
-
-
 register(ExperimentSpec(
     experiment_id="chaos-drill",
     config_factory=ChaosDrillConfig,

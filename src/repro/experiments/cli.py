@@ -13,17 +13,14 @@ Usage::
     repro scale generate --jobs 1000000 --out campaign.trace
     repro scale replay campaign.trace        # streamed statistics
     repro scale verify --jobs 100000         # streamed == eager gate
-
-    # legacy invocation (serial, no cache) still works:
-    python -m repro.experiments table1 [--quick]
-    python -m repro.experiments all --write-md EXPERIMENTS.md
+    repro run all --write-md EXPERIMENTS.md  # regenerate EXPERIMENTS.md
 
 ``repro`` and ``python -m repro`` are aliases for this entry point.
 
 Determinism contract: experiment renders go to **stdout**; per-cell
 progress and runner statistics go to **stderr**.  ``repro run X
 --parallel 4`` therefore produces byte-identical stdout to ``repro run
-X`` (and to the legacy serial path) for the same config.
+X`` for the same config.
 """
 
 from __future__ import annotations
@@ -31,64 +28,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from .ablations import (
-    run_buffer_sweep,
-    run_degree_sweep,
-    run_half_life_sweep,
-    run_performance_loss_sweep,
-    run_retry_sweep,
-)
 from .common import ExperimentResult
-from .fairshare_saturation import run_fairshare_saturation
-from .fig8 import Fig8Config, run_fig8
-from .selection_scaling import SelectionScalingConfig, run_selection_scaling
-from .streaming_overhead import StreamingConfig, run_fig6, run_fig7
-from .table1 import Table1Config, run_table1
-
-
-def _registry(quick: bool) -> Dict[str, Callable[[], ExperimentResult]]:
-    """Experiment name -> runner; quick mode shrinks sample counts only
-    (every structural parameter keeps its paper value)."""
-    t1 = Table1Config(jobs_per_method=8 if quick else 100)
-    f6 = StreamingConfig(scenario="campus",
-                         sequences=200 if quick else 1000)
-    f7 = StreamingConfig(scenario="wan", sequences=200 if quick else 1000)
-    f8 = Fig8Config(iterations=300 if quick else 1000)
-    ss = SelectionScalingConfig(jobs=4 if quick else 10)
-    return {
-        "table1": lambda: run_table1(t1),
-        "fig6": lambda: run_fig6(f6),
-        "fig7": lambda: run_fig7(f7),
-        "fig8": lambda: run_fig8(f8),
-        "selection-scaling": lambda: run_selection_scaling(ss),
-        "fairshare-saturation": run_fairshare_saturation,
-        "ablation-buffer": run_buffer_sweep,
-        "ablation-retry": run_retry_sweep,
-        "ablation-pl": run_performance_loss_sweep,
-        "ablation-degree": run_degree_sweep,
-        "ablation-halflife": run_half_life_sweep,
-    }
-
-
-def run_named(names: List[str], quick: bool = False) -> List[ExperimentResult]:
-    registry = _registry(quick)
-    if "all" in names:
-        names = list(registry)
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise SystemExit(f"unknown experiment(s): {unknown}; "
-                         f"choose from {list(registry)} or 'all'")
-    return [registry[name]() for name in names]
 
 
 def write_markdown(results: List[ExperimentResult], path: str) -> None:
     lines = [
         "# EXPERIMENTS — paper vs. reproduction",
         "",
-        "Regenerated by `python -m repro.experiments all --write-md "
-        "EXPERIMENTS.md`.",
+        "Regenerated by `repro run all --write-md EXPERIMENTS.md`.",
         "",
         "Absolute times come from the calibrated discrete-event substrate "
         "(see DESIGN.md); the assertions below check the paper's *shape*: "
@@ -101,7 +50,7 @@ def write_markdown(results: List[ExperimentResult], path: str) -> None:
         fh.write("\n".join(lines))
 
 
-#: Canonical experiment ordering for ``all`` (legacy registry order).
+#: Canonical experiment ordering for ``all``.
 CANONICAL_ORDER = [
     "table1", "fig6", "fig7", "fig8", "selection-scaling",
     "fairshare-saturation", "ablation-buffer", "ablation-retry",
@@ -132,10 +81,6 @@ def run_main(argv: List[str]) -> int:
                         help="smaller sample counts (for CI)")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
                         help="worker processes (0 = auto, default 1)")
-    parser.add_argument("--shard-sites", type=int, default=0, metavar="N",
-                        help="worker processes for multi-site conveyor "
-                             "cells (scale-campaign); a scheduling knob "
-                             "only — stdout is byte-identical for any N")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help=f"cell cache directory "
@@ -178,11 +123,6 @@ def run_main(argv: List[str]) -> int:
 
         # Passed to the engine as a plain dict (picklable for workers).
         chaos = ChaosSchedule.load(args.chaos).to_dict()
-    if args.shard_sites > 0:
-        # Borne by the environment (not config) so engine worker processes
-        # inherit it; deliberately never part of any cache key — see
-        # repro/runner/conveyor.py.
-        os.environ["REPRO_SHARD_SITES"] = str(args.shard_sites)  # simlint: disable=environ-read -- the CLI is the config layer; fan-out knob only, never in cache keys
 
     results: List[ExperimentResult] = []
     stats = []
@@ -312,34 +252,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..analysis.cli import lint_main
 
         return lint_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="crossbroker-repro",
-        description="Reproduce the CLUSTER 2006 evaluation "
-                    "(Table I, Figures 6-8, ablations).")
-    parser.add_argument("experiments", nargs="+",
-                        help="experiment names or 'all'")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller sample counts (for CI)")
-    parser.add_argument("--write-md", metavar="PATH",
-                        help="also write a markdown report")
-    parser.add_argument("--export", metavar="DIR",
-                        help="dump raw series/checks as CSV + manifest")
-    args = parser.parse_args(argv)
-
-    results = run_named(args.experiments, quick=args.quick)
-    for result in results:
-        print(result.render())
-        print()
-    if args.write_md:
-        write_markdown(results, args.write_md)
-        print(f"wrote {args.write_md}")
-    if args.export:
-        from .export import export_all
-
-        written = export_all(results, args.export)
-        total = sum(len(v) for v in written.values())
-        print(f"exported {total} files to {args.export}")
-    return 0 if all(r.passed for r in results) else 1
+    print("usage: repro {run,cache,trace,top,serve,bench,scale,lint} ...",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

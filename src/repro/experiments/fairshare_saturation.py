@@ -17,7 +17,7 @@ effectively resets priorities), greed pays no penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..core import BrokerConfig
@@ -141,14 +141,6 @@ def merge_cells(config: SaturationConfig,
         modest_accepts == len(outcomes["modest"]),
         f"{modest_accepts}/{len(outcomes['modest'])} accepted")
     return result
-
-
-def run_fairshare_saturation(
-        config: Optional[SaturationConfig] = None) -> ExperimentResult:
-    """Serial reference path (see :mod:`repro.runner`)."""
-    config = config or SaturationConfig()
-    payloads = {key: run_cell(config, key) for key in plan_cells(config)}
-    return merge_cells(config, payloads)
 
 
 register(ExperimentSpec(

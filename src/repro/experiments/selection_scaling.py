@@ -6,7 +6,7 @@ index query), while selection grows with the number of discovered sites
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..jdl import JobDescription, JobCategory, MachineAccess
@@ -103,14 +103,6 @@ def merge_cells(config: SelectionScalingConfig,
             1.8 <= selection[20].mean <= 4.5,
             f"measured {selection[20].mean:.2f}s")
     return result
-
-
-def run_selection_scaling(
-        config: Optional[SelectionScalingConfig] = None) -> ExperimentResult:
-    """Serial reference path (see :mod:`repro.runner`)."""
-    config = config or SelectionScalingConfig()
-    payloads = {key: run_cell(config, key) for key in plan_cells(config)}
-    return merge_cells(config, payloads)
 
 
 register(ExperimentSpec(

@@ -18,7 +18,7 @@ Expected shape (paper §6.2 prose):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from ..baselines import GloginMechanism, InterpositionMechanism, SshMechanism
 from ..calibration import Calibration, DEFAULT_CALIBRATION
@@ -186,13 +186,6 @@ def merge_fig6(config: StreamingConfig,
     return result
 
 
-def run_fig6(config: Optional[StreamingConfig] = None) -> ExperimentResult:
-    """Serial reference path for Figure 6 (see :mod:`repro.runner`)."""
-    config = config or StreamingConfig(scenario="campus")
-    return merge_fig6(config, {key: run_cell(config, key)
-                               for key in plan_cells(config)})
-
-
 def merge_fig7(config: StreamingConfig,
                payloads: Dict[CellKey, Series]) -> ExperimentResult:
     """Wide-area streaming comparison (Figure 7)."""
@@ -229,13 +222,6 @@ def merge_fig7(config: StreamingConfig,
         abs(rel.mean - ssh_l.mean) / ssh_l.mean < 0.35,
         f"reliable={rel.mean*1e3:.2f}ms ssh={ssh_l.mean*1e3:.2f}ms")
     return result
-
-
-def run_fig7(config: Optional[StreamingConfig] = None) -> ExperimentResult:
-    """Serial reference path for Figure 7 (see :mod:`repro.runner`)."""
-    config = config or StreamingConfig(scenario="wan")
-    return merge_fig7(config, {key: run_cell(config, key)
-                               for key in plan_cells(config)})
 
 
 register(ExperimentSpec(

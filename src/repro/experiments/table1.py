@@ -24,7 +24,7 @@ job+agent 29.3 s; discovery ≈ 0.5 s, selection ≈ 3 s at 20 sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 import numpy as np
 
@@ -186,12 +186,6 @@ def run_cell(config: Table1Config, key: CellKey) -> MethodMeasurement:
     return _measure_broker_method(config, scenario, method, offset)
 
 
-def measure_scenario(config: Table1Config,
-                     scenario: str) -> Dict[str, MethodMeasurement]:
-    return {method: run_cell(config, (scenario, method))
-            for method in METHODS}
-
-
 def merge_cells(config: Table1Config,
                 payloads: Dict[CellKey, MethodMeasurement]) -> ExperimentResult:
     result = ExperimentResult(
@@ -265,17 +259,6 @@ def merge_cells(config: Table1Config,
                 f"{method}: wide-area submission is slower than campus",
                 wan > campus, f"campus={campus:.2f}s wan={wan:.2f}s")
     return result
-
-
-def run_table1(config: Optional[Table1Config] = None) -> ExperimentResult:
-    """Serial reference path: plan -> run every cell -> merge.
-
-    Byte-identical to ``repro.runner.run_experiment("table1", ...)`` at
-    any parallelism (the runner merges in the same plan order).
-    """
-    config = config or Table1Config()
-    payloads = {key: run_cell(config, key) for key in plan_cells(config)}
-    return merge_cells(config, payloads)
 
 
 register(ExperimentSpec(

@@ -127,9 +127,11 @@ class TestScarcityRejection:
 
 class TestSaturationExperiment:
     def test_experiment_passes(self):
-        from repro.experiments import SaturationConfig, run_fairshare_saturation
+        from repro.experiments import SaturationConfig
+        from repro.runner import run_experiment
 
-        result = run_fairshare_saturation(
+        result = run_experiment(
+            "fairshare-saturation",
             SaturationConfig(warmup_jobs=4, contest_rounds=3))
         failed = [c.render() for c in result.checks if not c.passed]
         assert not failed, failed

@@ -1,4 +1,4 @@
-"""CLI smoke tests: `repro run`, `repro cache`, `repro trace`, legacy.
+"""CLI smoke tests: `repro run`, `repro cache`, `repro trace`.
 
 Each test drives the real entry point (``python -m repro ...``) in a
 subprocess, asserting exit codes and the stdout/stderr split that the
@@ -55,16 +55,11 @@ class TestRunCommand:
         assert first.stdout == second.stdout
         assert "(0 computed, 3 cached)" in second.stderr
 
-    def test_legacy_invocation_matches_run(self, tmp_path):
-        env = dict(os.environ)  # simlint: disable=environ-read -- building a subprocess environment, not sim state
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        legacy = subprocess.run(
-            [sys.executable, "-m", "repro.experiments",
-             "ablation-halflife", "--quick"],
-            capture_output=True, text=True, timeout=600, cwd=REPO, env=env)
-        modern = run_cli("run", "ablation-halflife", "--quick", "--no-cache")
-        assert legacy.returncode == 0
-        assert legacy.stdout == modern.stdout
+    def test_non_subcommand_is_a_usage_error(self):
+        proc = run_cli("ablation-halflife", "--quick")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: repro {run,")
 
     def test_unknown_experiment_fails(self):
         proc = run_cli("run", "no-such-experiment", "--no-cache")

@@ -1,6 +1,6 @@
 """The runtime sanitizer finds zero lifecycle leaks in every experiment.
 
-Each registry experiment (quick mode) is run inside a ``sanitize_all()``
+Each registered experiment (quick mode) is run inside a ``sanitize_all()``
 audit scope: every :class:`~repro.sim.environment.Environment` any cell
 builds gets a :class:`~repro.analysis.sanitizer.Sanitizer`, and at the
 end we assert that no environment reports a pending non-daemon timer,
@@ -19,17 +19,18 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sanitizer import LeakError, sanitize_all
-from repro.experiments.cli import _registry
+from repro.runner import all_specs, run_experiment
 
-#: (name, runner) pairs for every registry experiment in quick mode.
-_QUICK = sorted(_registry(quick=True).items())
+#: Every registered experiment except ``scale-campaign``: it folds
+#: synthetic arrivals without building an ``Environment``, so the
+#: ``audit.environments > 0`` guard below cannot hold for it.
+_AUDITED = sorted(name for name in all_specs() if name != "scale-campaign")
 
 
-@pytest.mark.parametrize("name", [name for name, _ in _QUICK])
+@pytest.mark.parametrize("name", _AUDITED)
 def test_experiment_leaves_no_lifecycle_leaks(name):
-    runner = dict(_QUICK)[name]
     with sanitize_all() as audit:
-        result = runner()
+        result = run_experiment(name, quick=True)
     assert result.experiment_id  # the experiment actually ran
     assert audit.environments > 0, "no environment was audited"
     audit.assert_clean()
